@@ -7,7 +7,7 @@ whole method.  This benchmark measures how much of that cost the sweep
 fast paths recover on the paper's Niagara platform grid:
 
 * **cold** — every cell solved from scratch (``accelerated=False``,
-  ``warm_start=False``): per-cell feasibility-boundary pre-solve, per-cell
+  the ``cold`` preset): per-cell feasibility-boundary pre-solve, per-cell
   constraint assembly, generic per-block barrier evaluation.  This
   reproduces the seed implementation's cost structure and is the
   *correctness reference* every other mode is compared against.
@@ -20,16 +20,6 @@ fast paths recover on the paper's Niagara platform grid:
   constraint pruning (near-active thermal rows + structurally subsampled
   gradient rows, full-stack post-check and polish) and gap-estimated warm
   barrier schedules.
-* **gen2-batched** — (deprecated) column-major walk solving every
-  temperature row of a column in lockstep against the shared constraint
-  matrix.
-* **gen3** — gen2 plus structure-exploiting kernels: the +/- antisymmetry
-  of the pairwise gradient rows is folded so the full-stack barrier
-  evaluations share one GEMV and halve their log count.
-* **gen3-wavefront** — gen3 with the row-wave scheduler: each temperature
-  row advances as one lockstep batch, warm-started from the hotter row,
-  with a cascade of anchor-warmed cells replacing most per-row cold
-  solves.
 * **parallel** — the warm path with temperature rows distributed over a
   process pool (``n_workers``); identical output, wall-clock bounded by
   the slowest row on multi-core hosts.
@@ -39,10 +29,7 @@ feasibility and to 1e-9 relative on feasible frequencies (gen2 modes are
 polished on the full constraint stack at the cold schedule's final
 barrier weight, so they agree to Newton tolerance, not merely the duality
 gap); gen2 is >= 2x faster than the PR 1 warm path; warm beats cold; the
-parallel sweep does not lose to serial warm.  The gen3 family is held to
-a tighter 1e-12 worst-vs-cold agreement and must not lose to gen2
-(modest noise margin) — both checked on the smoke grid too, so CI catches
-a structure-kernel regression without paying for the full grid.
+parallel sweep does not lose to serial warm.
 
 Alongside the text report, a machine-readable
 ``benchmarks/results/table_generation.json`` records per-mode seconds,
@@ -50,10 +37,10 @@ ms/cell, speedup vs cold and worst-vs-cold agreement.
 
 Set ``PROTEMP_BENCH_TABLE_GRID=smoke`` for a tiny CI smoke grid; fixed
 overheads dominate there, so the speedup assertions are skipped and only
-agreement (plus the gen3-vs-gen2 guard) is checked.
+agreement is checked.
 ``PROTEMP_BENCH_TABLE_MODES`` (comma list) selects a subset of the
-non-cold modes — CI runs the legacy and gen2/gen3 families in separate
-steps so a disagreement pinpoints the offending family.
+non-cold modes — CI runs the legacy modes and gen2 in separate steps so a
+disagreement pinpoints the offending sweep.
 """
 
 from __future__ import annotations
@@ -64,33 +51,13 @@ import time
 import numpy as np
 from conftest import print_header, save_json_result, save_result
 
-from repro.core import ProTempOptimizer, build_frequency_table
+from repro.core import ProTempOptimizer, SweepStrategy, build_frequency_table
 from repro.solver.barrier import BarrierOptions
 from repro.solver.newton import NewtonOptions
 from repro.units import mhz
 
 SMOKE = os.environ.get("PROTEMP_BENCH_TABLE_GRID", "") == "smoke"
-ALL_MODES = (
-    "legacy-warm",
-    "warm",
-    "gen2",
-    "gen2-batched",
-    "gen3",
-    "gen3-wavefront",
-    "parallel",
-)
-
-#: Worst allowed relative frequency deviation from the cold reference for
-#: the gen3 family (the generic modes are held to 1e-9; gen3's structured
-#: kernels are algebraically exact rewrites, so they must track the cold
-#: solve essentially to roundoff).
-GEN3_AGREEMENT_TOL = 1e-12
-
-#: gen3 may not lose to gen2 beyond this noise margin.  Both sweeps share
-#: the warm/pruned machinery; the margin absorbs scheduler jitter and the
-#: smoke grid's fixed-overhead domination, not a real regression.
-GEN3_VS_GEN2_MARGIN = 1.25
-GEN3_VS_GEN2_SLACK_S = 0.2
+ALL_MODES = ("legacy-warm", "warm", "gen2", "parallel")
 
 
 def _modes() -> tuple[str, ...]:
@@ -133,13 +100,13 @@ def _run_mode(platform, mode, t_grid, f_grid):
         optimizer = ProTempOptimizer(
             platform, step_subsample=5, accelerated=False
         )
-        kwargs = {"warm_start": False}
+        kwargs = {"strategy": "cold"}
     elif mode == "legacy-warm":
         optimizer = _legacy_optimizer(platform)
         kwargs = {"strategy": "warm"}
     elif mode == "parallel":
         optimizer = ProTempOptimizer(platform, step_subsample=5)
-        kwargs = {"n_workers": n_workers}
+        kwargs = {"strategy": SweepStrategy(n_workers=n_workers)}
     else:
         optimizer = ProTempOptimizer(platform, step_subsample=5)
         kwargs = {"strategy": mode}
@@ -229,22 +196,6 @@ def test_table_generation_speedup(platform):
             },
         },
     )
-
-    # gen3-family guards run on every grid (including smoke, which is what
-    # CI exercises): the structured kernels must stay agreement-exact and
-    # must never regress below the gen2 baseline they extend.
-    for mode in ("gen3", "gen3-wavefront"):
-        if mode in worsts:
-            assert worsts[mode] <= GEN3_AGREEMENT_TOL, (
-                f"{mode} worst-vs-cold {worsts[mode]:.2e} above "
-                f"{GEN3_AGREEMENT_TOL:.0e}"
-            )
-    if "gen3" in times and "gen2" in times:
-        bound = times["gen2"] * GEN3_VS_GEN2_MARGIN + GEN3_VS_GEN2_SLACK_S
-        assert times["gen3"] <= bound, (
-            f"gen3 sweep regressed below gen2: {times['gen3']:.2f}s vs "
-            f"gen2 {times['gen2']:.2f}s (bound {bound:.2f}s)"
-        )
 
     if SMOKE:
         return

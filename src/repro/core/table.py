@@ -26,9 +26,9 @@ management unit:
    window (zero frequency), the maximally safe fallback.
 
 **Sweep strategies.**  :func:`build_frequency_table` drives the sweep
-through an explicit :class:`SweepStrategy` — row order, warm-start policy,
-constraint pruning and batching are independent switches rather than
-interleaved flags:
+through an explicit :class:`SweepStrategy` — row order, warm-start policy
+and constraint pruning are independent switches rather than interleaved
+flags:
 
 * *within-row warm starts* (``warm_start``) — each row is walked from the
   highest frequency column downward and every cell warm-starts from its
@@ -56,24 +56,13 @@ interleaved flags:
   ``t_initial``, skipping centering stages a near-optimal start does not
   need (the start weight is snapped to the cold schedule's geometric grid
   so both paths finish at the same analytic center);
-* *batched multi-cell solves* (``batch_rows``) — the sweep walks columns
-  instead of rows and solves every temperature row's cell of a column in
-  lockstep against one shared constraint matrix
-  (`repro.core.protemp.ProTempOptimizer.solve_batch`);
-* *structure-exploiting kernels* (``structure``) — pre-final barrier
-  stages evaluate through the antisymmetry-folded gradient rows and the
-  rank-compressed thermal tail (`repro.solver.compiled.CompiledStructure`);
-  the final stage always runs on the exact stack, so agreement with the
-  cold solver is unchanged;
-* *wavefront row waves* (``wavefront``) — rows are walked hottest first
-  and each row's cells are solved in a handful of large lockstep batches
-  (`repro.core.protemp.ProTempOptimizer.solve_wave`), every cell
-  warm-started from its hotter-row same-column optimum; this amortizes
-  per-stage solver dispatch over batches the size of the frequency grid;
 * *row parallelism* (``n_workers``) — temperature rows are independent
   (unless cross-row warm starts tie them together), so whole rows can be
   distributed over a process pool with identical results.
 
+The named presets are ``cold`` (the reference oracle: no warm starts),
+``warm`` and ``gen2`` (the production sweep: hot-first rows, cross-row
+warm starts, pruning and warm schedules).
 ``benchmarks/bench_table_generation.py`` tracks the measured speedups of
 each strategy against the cold per-cell baseline.
 """
@@ -172,6 +161,44 @@ class LookupResult:
     demand_clamped: bool = False
 
 
+#: Removed presets, each mapped to the preset that replaces it.  The
+#: batched, structure-exploiting and wavefront sweeps measured at parity
+#: with ``gen2`` and were deleted; specs naming them keep their spec hash
+#: and table key and build the ``gen2`` table.
+DEPRECATED_PRESETS: dict[str, str] = {
+    "gen2-batched": "gen2",
+    "gen3": "gen2",
+    "gen3-wavefront": "gen2",
+}
+
+
+def resolve_preset(name: str, *, stacklevel: int = 2) -> str:
+    """The live preset `name` refers to, warning when it is an alias.
+
+    `stacklevel` counts from the caller, as in :func:`warnings.warn`.
+
+    Raises:
+        TableError: for a name that is neither a preset nor an alias.
+    """
+    if name in DEPRECATED_PRESETS:
+        target = DEPRECATED_PRESETS[name]
+        warnings.warn(
+            f"the {name!r} sweep preset was removed after measuring at "
+            f"parity with {target!r}; building the {target!r} table "
+            f"instead (switch to {target!r})",
+            DeprecationWarning,
+            stacklevel=stacklevel + 1,
+        )
+        return target
+    known = [*SweepStrategy._preset_map(), *DEPRECATED_PRESETS]
+    if name not in known:
+        raise TableError(
+            f"unknown sweep strategy {name!r}; choose from {sorted(known)}"
+            + did_you_mean(name, known)
+        )
+    return name
+
+
 @dataclass(frozen=True)
 class SweepStrategy:
     """Explicit Phase-1 sweep policy (see the module docstring).
@@ -191,17 +218,9 @@ class SweepStrategy:
             stack with a full-stack re-check and polish.
         warm_schedule: start warm-started barrier solves at an estimated-
             gap weight instead of ``t_initial``.
-        batch_rows: walk columns and solve all temperature rows of a
-            column in one batched solve (requires warm starts; serial).
-        structure: evaluate pre-final barrier stages through the
-            structure-exploiting kernels (antisymmetry fold +
-            rank-compressed thermal tail).
-        wavefront: solve each temperature row's cells in large lockstep
-            batches, warm-started from the hotter row (requires
-            ``hot-first`` order and warm starts; serial).
         n_workers: when > 1, distribute temperature rows over a process
-            pool of this size (incompatible with cross-row warm starts
-            and batching, which order cells across rows).
+            pool of this size (incompatible with cross-row warm starts,
+            which order cells across rows).
     """
 
     row_order: Literal["ascending", "hot-first"] = "ascending"
@@ -210,9 +229,6 @@ class SweepStrategy:
     prune_feasibility: bool = True
     prune_constraints: bool = False
     warm_schedule: bool = False
-    batch_rows: bool = False
-    structure: bool = False
-    wavefront: bool = False
     n_workers: int | None = None
 
     def __post_init__(self) -> None:
@@ -226,30 +242,11 @@ class SweepStrategy:
                     "(a hotter row's optimum is only guaranteed feasible "
                     "for colder rows)"
                 )
-            if parallel or self.batch_rows:
+            if parallel:
                 raise TableError(
                     "cross-row warm starts order rows sequentially and "
-                    "cannot combine with n_workers or batch_rows"
+                    "cannot combine with n_workers"
                 )
-        if self.batch_rows:
-            if parallel:
-                raise TableError("batch_rows cannot combine with n_workers")
-            if not self.warm_start:
-                raise TableError("batch_rows requires warm_start")
-        if self.wavefront:
-            if self.row_order != "hot-first":
-                raise TableError(
-                    "wavefront sweeps require row_order='hot-first' (each "
-                    "wave warm-starts from the already-solved hotter row)"
-                )
-            if parallel or self.batch_rows or self.cross_row_warm_start:
-                raise TableError(
-                    "wavefront orders rows sequentially and batches within "
-                    "them; it cannot combine with n_workers, batch_rows or "
-                    "cross_row_warm_start"
-                )
-            if not self.warm_start:
-                raise TableError("wavefront requires warm_start")
 
     @classmethod
     def _preset_map(cls) -> dict[str, "SweepStrategy"]:
@@ -262,48 +259,13 @@ class SweepStrategy:
                 prune_constraints=True,
                 warm_schedule=True,
             ),
-            "gen2-batched": cls(
-                prune_constraints=True,
-                warm_schedule=True,
-                batch_rows=True,
-            ),
-            "gen3": cls(
-                row_order="hot-first",
-                cross_row_warm_start=True,
-                prune_constraints=True,
-                warm_schedule=True,
-                structure=True,
-            ),
-            "gen3-wavefront": cls(
-                row_order="hot-first",
-                prune_constraints=True,
-                warm_schedule=True,
-                structure=True,
-                wavefront=True,
-            ),
         }
 
     @classmethod
     def preset(cls, name: str) -> "SweepStrategy":
-        """Named strategies: cold, warm, gen2, gen3, gen3-wavefront
-        (plus the deprecated gen2-batched)."""
-        presets = cls._preset_map()
-        if name not in presets:
-            raise TableError(
-                f"unknown sweep strategy {name!r}; "
-                f"choose from {sorted(presets)}"
-                + did_you_mean(name, presets)
-            )
-        if name == "gen2-batched":
-            warnings.warn(
-                "the 'gen2-batched' preset is deprecated: its column-major "
-                "batching is slower than 'gen2', and the 'gen3-wavefront' "
-                "row-wave scheduler supersedes it; switch to "
-                "'gen3-wavefront' (or 'gen3')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return presets[name]
+        """Named strategies: cold, warm, gen2 (plus the deprecated
+        aliases in :data:`DEPRECATED_PRESETS`)."""
+        return cls._preset_map()[resolve_preset(name)]
 
     @property
     def preset_name(self) -> str | None:
@@ -790,7 +752,6 @@ def _build_row(
                 warm_from=warm,
                 prune=strategy.prune_constraints,
                 warm_schedule=strategy.warm_schedule,
-                structure=strategy.structure,
             )
             row[fi] = TableEntry.from_assignment(assignment)
             assignments[fi] = assignment
@@ -798,142 +759,6 @@ def _build_row(
         if on_cell is not None:
             on_cell()
     return row, assignments
-
-
-def _sweep_batched(
-    optimizer: ProTempOptimizer,
-    t_grid: list[float],
-    f_grid: list[float],
-    strategy: SweepStrategy,
-    tick: Callable[[], None],
-) -> dict[tuple[int, int], TableEntry]:
-    """Column-major sweep solving all temperature rows of a column at once.
-
-    Each cell still warm-starts from its own row's right-neighbor; the
-    batch simply advances every row's cell of one column in lockstep
-    through the shared constraint stack.  Cells the batch cannot serve
-    (no feasible warm start, pruning fallback) are re-solved serially, so
-    the result is identical to the serial sweep.
-    """
-    n_cores = optimizer.platform.n_cores
-    entries: dict[tuple[int, int], TableEntry] = {}
-    boundaries = [
-        optimizer.max_feasible_target(t_start)
-        if strategy.prune_feasibility
-        else None
-        for t_start in t_grid
-    ]
-    previous: dict[int, FrequencyAssignment] = {}
-    for fi in reversed(range(len(f_grid))):
-        f_target = f_grid[fi]
-        active: list[int] = []
-        for ti, t_start in enumerate(t_grid):
-            if boundaries[ti] is not None and f_target > boundaries[ti]:
-                entries[(ti, fi)] = _infeasible_entry(
-                    t_start, f_target, n_cores
-                )
-                tick()
-            else:
-                active.append(ti)
-        if not active:
-            continue
-        warms = [previous.get(ti) for ti in active]
-        batch = optimizer.solve_batch(
-            [t_grid[ti] for ti in active],
-            f_target,
-            warms,
-            prune=strategy.prune_constraints,
-            warm_schedule=strategy.warm_schedule,
-            structure=strategy.structure,
-        )
-        for ti, warm, assignment in zip(active, warms, batch):
-            if assignment is None:
-                assignment = optimizer.solve(
-                    t_grid[ti],
-                    f_target,
-                    warm_from=warm,
-                    prune=strategy.prune_constraints,
-                    warm_schedule=strategy.warm_schedule,
-                    structure=strategy.structure,
-                )
-            entries[(ti, fi)] = TableEntry.from_assignment(assignment)
-            if assignment.feasible:
-                previous[ti] = assignment
-            else:
-                previous.pop(ti, None)
-            tick()
-    return entries
-
-
-def _sweep_wavefront(
-    optimizer: ProTempOptimizer,
-    t_grid: list[float],
-    f_grid: list[float],
-    strategy: SweepStrategy,
-    tick: Callable[[], None],
-) -> dict[tuple[int, int], TableEntry]:
-    """Hot-first row waves, each row a couple of large lockstep solves.
-
-    Rows are walked hottest first; each wave hands the whole row — every
-    frequency column past the feasibility boundary — to
-    :meth:`~repro.core.protemp.ProTempOptimizer.solve_wave`, with each
-    cell warm-started from the hotter row's same-column optimum (the
-    hottest row runs as one cold lockstep batch).  Cells the wave cannot
-    serve are re-solved serially, preferring the row's right-neighbor and
-    falling back to the hotter-row start, so the result matches the
-    serial sweeps to solver tolerance.
-    """
-    n_cores = optimizer.platform.n_cores
-    entries: dict[tuple[int, int], TableEntry] = {}
-    hotter: dict[int, FrequencyAssignment] = {}
-    for ti in reversed(range(len(t_grid))):
-        t_start = t_grid[ti]
-        boundary = (
-            optimizer.max_feasible_target(t_start)
-            if strategy.prune_feasibility
-            else None
-        )
-        active: list[int] = []
-        for fi in reversed(range(len(f_grid))):
-            if boundary is not None and f_grid[fi] > boundary:
-                entries[(ti, fi)] = _infeasible_entry(
-                    t_start, f_grid[fi], n_cores
-                )
-                tick()
-            else:
-                active.append(fi)
-        assignments: dict[int, FrequencyAssignment] = {}
-        if active:
-            warms = [hotter.get(fi) for fi in active]
-            wave = optimizer.solve_wave(
-                t_start,
-                [f_grid[fi] for fi in active],
-                warms,
-                prune=strategy.prune_constraints,
-                warm_schedule=strategy.warm_schedule,
-                structure=strategy.structure,
-            )
-            prev: FrequencyAssignment | None = None
-            for fi, warm, assignment in zip(active, warms, wave):
-                if assignment is None:
-                    fallback = (
-                        prev if prev is not None and prev.feasible else warm
-                    )
-                    assignment = optimizer.solve(
-                        t_start,
-                        f_grid[fi],
-                        warm_from=fallback,
-                        prune=strategy.prune_constraints,
-                        warm_schedule=strategy.warm_schedule,
-                        structure=strategy.structure,
-                    )
-                entries[(ti, fi)] = TableEntry.from_assignment(assignment)
-                if assignment.feasible:
-                    assignments[fi] = assignment
-                prev = assignment
-                tick()
-        hotter = assignments
-    return entries
 
 
 def build_frequency_table(
@@ -944,9 +769,6 @@ def build_frequency_table(
     strategy: SweepStrategy | str | None = None,
     progress: Callable[[int, int], None] | None = None,
     provenance: dict | None = None,
-    prune_infeasible: bool | None = None,
-    warm_start: bool | None = None,
-    n_workers: int | None = None,
 ) -> FrequencyTable:
     """Run Phase 1: solve every grid point and assemble the table.
 
@@ -955,54 +777,23 @@ def build_frequency_table(
         t_grid: starting temperatures (Celsius), strictly increasing.
         f_grid: average-frequency targets (Hz), strictly increasing.
         strategy: a :class:`SweepStrategy`, a preset name (``"cold"``,
-            ``"warm"``, ``"gen2"``, ``"gen3"``, ``"gen3-wavefront"``, or
-            the deprecated ``"gen2-batched"``), or None to build one from
-            the legacy keyword flags below.
+            ``"warm"``, ``"gen2"``, or a deprecated alias from
+            :data:`DEPRECATED_PRESETS`), or None for the default
+            ``SweepStrategy()`` (the ``warm`` preset).
         progress: optional callback ``(done, total)`` for long sweeps
-            (per cell when serial or batched, per completed row when
-            parallel).
+            (per cell when serial, per completed row when parallel).
         provenance: caller-supplied metadata merged into the table's
             metadata — the scenario runner records the platform spec
             hash and a build timestamp here (the build itself never
             reads the clock, keeping sweeps deterministic).
-        prune_infeasible: legacy flag (default True) — maps to
-            ``SweepStrategy.prune_feasibility``; only valid when
-            `strategy` is None.
-        warm_start: legacy flag (default True) — maps to
-            ``SweepStrategy.warm_start``; only valid when `strategy` is
-            None.
-        n_workers: legacy flag — maps to ``SweepStrategy.n_workers``;
-            only valid when `strategy` is None.
 
     Returns:
         The assembled :class:`FrequencyTable`.
-
-    Raises:
-        TableError: when both `strategy` and a legacy flag are given (the
-            flags would be silently ignored otherwise — set the
-            corresponding :class:`SweepStrategy` field instead).
     """
     if strategy is None:
-        strategy = SweepStrategy(
-            prune_feasibility=(
-                True if prune_infeasible is None else prune_infeasible
-            ),
-            warm_start=True if warm_start is None else warm_start,
-            n_workers=n_workers,
-        )
-    else:
-        if (
-            prune_infeasible is not None
-            or warm_start is not None
-            or n_workers is not None
-        ):
-            raise TableError(
-                "pass sweep options either via `strategy` or via the "
-                "legacy keywords (prune_infeasible / warm_start / "
-                "n_workers), not both"
-            )
-        if isinstance(strategy, str):
-            strategy = SweepStrategy.preset(strategy)
+        strategy = SweepStrategy()
+    elif isinstance(strategy, str):
+        strategy = SweepStrategy.preset(strategy)
     entries: dict[tuple[int, int], TableEntry] = {}
     total = len(t_grid) * len(f_grid)
     done = 0
@@ -1014,15 +805,7 @@ def build_frequency_table(
             progress(done, total)
 
     workers = strategy.n_workers
-    if strategy.wavefront:
-        entries = _sweep_wavefront(
-            optimizer, list(t_grid), list(f_grid), strategy, tick
-        )
-    elif strategy.batch_rows:
-        entries = _sweep_batched(
-            optimizer, list(t_grid), list(f_grid), strategy, tick
-        )
-    elif workers is not None and workers > 1 and len(t_grid) > 1:
+    if workers is not None and workers > 1 and len(t_grid) > 1:
         pool_size = min(workers, len(t_grid), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [

@@ -42,7 +42,11 @@ import numpy as np
 
 from repro.control.manager import ThermalManagementUnit
 from repro.core.protemp import ProTempOptimizer
-from repro.core.table import FrequencyTable, build_frequency_table
+from repro.core.table import (
+    DEPRECATED_PRESETS,
+    FrequencyTable,
+    build_frequency_table,
+)
 from repro.observability import MetricsRegistry
 from repro.errors import OutcomeStoreError, ScenarioError, TableError
 from repro.platform import Platform
@@ -637,7 +641,14 @@ class ScenarioRunner:
                         optimizer,
                         list(config["t_grid"]),
                         list(config["f_grid"]),
-                        strategy=config["strategy"] or self.table_strategy,
+                        # The spec warned about a removed preset when it
+                        # was parsed; resolve the alias silently here.
+                        strategy=(
+                            DEPRECATED_PRESETS.get(
+                                config["strategy"], config["strategy"]
+                            )
+                            or self.table_strategy
+                        ),
                         progress=_tick,
                         provenance={
                             "platform_spec_hash": platform_spec.spec_hash,

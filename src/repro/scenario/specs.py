@@ -47,7 +47,7 @@ import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Iterable, Mapping, cast
 
-from repro.errors import ScenarioError, did_you_mean
+from repro.errors import ScenarioError, TableError, did_you_mean
 from repro.thermal.constants import PAPER_DFS_PERIOD
 from repro.units import mhz
 
@@ -294,16 +294,15 @@ class PolicySpec:
             # Lazy: repro.core is heavy and never needed for pure spec
             # plumbing (hashing, sharding, JSON round-trips).
             from repro.core.protemp import BACKENDS
-            from repro.core.table import SweepStrategy
+            from repro.core.table import resolve_preset
 
             if strategy is not None:
-                presets = SweepStrategy._preset_map()
-                if strategy not in presets:
-                    raise ScenarioError(
-                        f"unknown sweep strategy {strategy!r}; "
-                        f"choose from {sorted(presets)}"
-                        + did_you_mean(strategy, presets)
-                    )
+                # A removed preset warns here and stays in the params
+                # verbatim, so the spec hash and table key are unchanged.
+                try:
+                    resolve_preset(strategy, stacklevel=3)
+                except TableError as exc:
+                    raise ScenarioError(str(exc)) from None
             if backend is not None and backend not in BACKENDS:
                 raise ScenarioError(
                     f"unknown solver backend {backend!r}; "

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import ProTempOptimizer
+from repro.core.protemp import BACKENDS
 from repro.errors import ScenarioError
 from repro.scenario import (
     PlatformSpec,
@@ -23,6 +25,7 @@ from repro.scenario import (
     derive_seed,
     scenario_grid_from_config,
 )
+from repro.scenario.runner import ScenarioRunner, table_key
 
 # -- strategies -------------------------------------------------------------
 
@@ -251,3 +254,84 @@ class TestConfigExpansion:
     def test_unknown_subspec_field_rejected(self):
         with pytest.raises(ScenarioError, match="unknown workload spec"):
             WorkloadSpec.from_dict({"name": "mixed", "durration": 2.0})
+
+
+class TestBackendSelection:
+    def test_policy_spec_round_trips_backend(self):
+        spec = ScenarioSpec(
+            policy={
+                "name": "protemp",
+                "params": {"strategy": "gen3-wavefront", "backend": "scipy"},
+            }
+        )
+        restored = ScenarioSpec.from_dict(json.loads(spec.to_json()))
+        assert restored == spec
+        config = restored.policy.table_config()
+        assert config["strategy"] == "gen3-wavefront"
+        assert config["backend"] == "scipy"
+        # Table params never leak into the policy factory.
+        assert restored.policy.factory_kwargs() == {}
+
+    def test_backend_defaults_to_barrier(self):
+        assert PolicySpec().table_config()["backend"] == "barrier"
+        assert "backend" in PolicySpec.TABLE_PARAM_KEYS
+
+    def test_table_key_stable_for_default_backend(self):
+        base = PolicySpec(params={"strategy": "gen2"})
+        explicit = PolicySpec(params={"strategy": "gen2", "backend": "barrier"})
+        scipy_spec = PolicySpec(params={"strategy": "gen2", "backend": "scipy"})
+        platform = PlatformSpec()
+        assert table_key(platform, base) == table_key(platform, explicit)
+        assert table_key(platform, scipy_spec) != table_key(platform, base)
+
+    def test_unknown_backend_rejected_at_parse_with_hint(self):
+        with pytest.raises(ScenarioError, match="did you mean 'scipy'"):
+            PolicySpec(params={"backend": "scipi"})
+
+    def test_unknown_strategy_rejected_at_parse_with_hint(self):
+        with pytest.raises(ScenarioError, match="did you mean 'gen3'"):
+            PolicySpec(params={"strategy": "gen33"})
+
+    def test_unknown_backend_rejected_at_service_submit(self):
+        from repro.serving import ScenarioService
+
+        service = ScenarioService(max_workers=1)
+        try:
+            with pytest.raises(ScenarioError, match="did you mean 'scipy'"):
+                service.submit(
+                    {
+                        "workload": {"name": "compute", "duration": 1.0},
+                        "policy": {
+                            "name": "protemp",
+                            "params": {"backend": "scipi"},
+                        },
+                    }
+                )
+            assert service.jobs_payload() == []  # never became a job
+        finally:
+            service.drain()
+
+    def test_runner_threads_backend_into_optimizer(self, monkeypatch):
+        captured = {}
+        original = ProTempOptimizer.__init__
+
+        def spy(self, platform, **kwargs):
+            captured.update(kwargs)
+            original(self, platform, **kwargs)
+
+        monkeypatch.setattr(ProTempOptimizer, "__init__", spy)
+        runner = ScenarioRunner()
+        policy = PolicySpec(
+            params={
+                "t_grid": [60.0, 100.0],
+                "f_grid": [4e8, 8e8],
+                "step_subsample": 20,
+                "backend": "scipy",
+            }
+        )
+        table, hit = runner.table(PlatformSpec(name="core-row"), policy)
+        assert not hit and captured["backend"] == "scipy"
+        assert table.entries
+
+    def test_backends_constant_names_both_solvers(self):
+        assert BACKENDS == ("barrier", "scipy")

@@ -1,8 +1,12 @@
 """Tests for the second-generation sweep strategies (cross-row warm
-starts, sparse constraint pruning, warm barrier schedules, batched
-multi-cell solves) and their agreement with the cold per-cell solver."""
+starts, sparse constraint pruning, warm barrier schedules) and their
+agreement with the cold per-cell solver."""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from repro.core import (
     build_frequency_table,
 )
 from repro.errors import TableError
+from repro.scenario.runner import ScenarioRunner, table_key
+from repro.scenario.specs import DEFAULT_F_GRID, DEFAULT_T_GRID, ScenarioSpec
 from repro.units import mhz
 
 T_GRID = [70.0, 85.0, 95.0]
@@ -25,7 +31,7 @@ def cold_table(small_platform):
         ProTempOptimizer(small_platform, step_subsample=10, accelerated=False),
         T_GRID,
         F_GRID,
-        warm_start=False,
+        strategy="cold",
     )
 
 
@@ -62,38 +68,6 @@ class TestStrategyValidation:
                 n_workers=2,
             )
 
-    def test_batch_rejects_workers(self):
-        with pytest.raises(TableError, match="n_workers"):
-            SweepStrategy(batch_rows=True, n_workers=2)
-
-    def test_batch_requires_warm_start(self):
-        with pytest.raises(TableError, match="warm_start"):
-            SweepStrategy(batch_rows=True, warm_start=False)
-
-    def test_strategy_and_legacy_kwargs_conflict(self, small_platform):
-        """Legacy flags must not be silently ignored next to a strategy."""
-        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
-        with pytest.raises(TableError, match="not both"):
-            build_frequency_table(
-                optimizer,
-                [85.0],
-                [mhz(300)],
-                strategy="gen2",
-                n_workers=8,
-            )
-
-    def test_legacy_kwargs_map_to_strategy(self, small_platform):
-        """The pre-strategy keyword API still works unchanged."""
-        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
-        table = build_frequency_table(
-            optimizer,
-            [85.0],
-            [mhz(300), mhz(700)],
-            prune_infeasible=False,
-            warm_start=False,
-        )
-        assert table.feasibility_matrix().shape == (1, 2)
-
 
 class TestGen2Agreement:
     def test_gen2_matches_cold(self, small_platform, cold_table):
@@ -106,15 +80,6 @@ class TestGen2Agreement:
             strategy="gen2",
         )
         assert_matches_cold(cold_table, gen2)
-
-    def test_gen2_batched_matches_cold(self, small_platform, cold_table):
-        batched = build_frequency_table(
-            ProTempOptimizer(small_platform, step_subsample=10),
-            T_GRID,
-            F_GRID,
-            strategy="gen2-batched",
-        )
-        assert_matches_cold(cold_table, batched)
 
     def test_gen2_strategy_object(self, small_platform, cold_table):
         """Strategy fields can be toggled individually."""
@@ -162,43 +127,6 @@ class TestGen2Agreement:
         )
 
 
-class TestSolveBatch:
-    def test_batch_matches_serial(self, small_platform):
-        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
-        t_starts = [70.0, 85.0, 95.0]
-        warms = [optimizer.solve(t, mhz(380)) for t in t_starts]
-        assert all(w.feasible for w in warms)
-        batch = optimizer.solve_batch(
-            t_starts, mhz(250), warms, prune=True, warm_schedule=True
-        )
-        for t_start, warm, got in zip(t_starts, warms, batch):
-            assert got is not None
-            serial = optimizer.solve(t_start, mhz(250), warm_from=warm)
-            np.testing.assert_allclose(
-                got.frequencies, serial.frequencies, rtol=1e-9
-            )
-            assert got.feasible == serial.feasible
-
-    def test_batch_without_warm_starts_returns_none(self, small_platform):
-        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
-        out = optimizer.solve_batch([70.0, 85.0], mhz(400), [None, None])
-        assert out == [None, None]
-
-    def test_batch_rejects_mismatched_lengths(self, small_platform):
-        from repro.errors import SolverError
-
-        optimizer = ProTempOptimizer(small_platform, step_subsample=10)
-        with pytest.raises(SolverError):
-            optimizer.solve_batch([70.0], mhz(400), [None, None])
-
-    def test_uniform_mode_falls_back_to_serial(self, small_platform):
-        optimizer = ProTempOptimizer(
-            small_platform, mode="uniform", step_subsample=10
-        )
-        out = optimizer.solve_batch([70.0, 85.0], mhz(400), [None, None])
-        assert out == [None, None]
-
-
 class TestTightGradientCap:
     def test_gen2_survives_tight_t_grad_cap(self, small_platform):
         """Regression: with a t_grad_cap close to the optimal gradient the
@@ -216,18 +144,17 @@ class TestTightGradientCap:
             ),
             t_grid,
             f_grid,
-            warm_start=False,
+            strategy="cold",
         )
-        for strategy in ("gen2", "gen2-batched"):
-            table = build_frequency_table(
-                ProTempOptimizer(
-                    small_platform, step_subsample=10, t_grad_cap=0.5
-                ),
-                t_grid,
-                f_grid,
-                strategy=strategy,
-            )
-            assert_matches_cold(cold, table)
+        table = build_frequency_table(
+            ProTempOptimizer(
+                small_platform, step_subsample=10, t_grad_cap=0.5
+            ),
+            t_grid,
+            f_grid,
+            strategy="gen2",
+        )
+        assert_matches_cold(cold, table)
 
 
 class TestPruningSoundness:
@@ -250,6 +177,143 @@ class TestPruningSoundness:
             ),
             T_GRID,
             F_GRID,
-            warm_start=False,
+            strategy="cold",
         )
         assert_matches_cold(cold, gen2)
+
+
+#: The Phase-1 grid of ``examples/scenario_config.json`` (Niagara-8,
+#: ``step_subsample=10``).
+EXAMPLE_T_GRID = [70.0, 85.0, 95.0, 100.0]
+EXAMPLE_F_GRID = [2e8, 4e8, 6e8, 8e8, 1e9]
+
+
+def table_digest(table) -> str:
+    """sha256 of the table's canonical ``to_dict()`` JSON."""
+    payload = json.dumps(table.to_dict(), sort_keys=True, allow_nan=False)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def example_gen2(niagara):
+    return build_frequency_table(
+        ProTempOptimizer(niagara, step_subsample=10),
+        EXAMPLE_T_GRID,
+        EXAMPLE_F_GRID,
+        strategy="gen2",
+    )
+
+
+class TestGoldenTables:
+    """Bit-identity pins: the digests were recorded before the batched,
+    structure-exploiting and wavefront sweeps were deleted, and every
+    surviving preset must keep reproducing them exactly."""
+
+    def test_example_grid_gen2(self, example_gen2):
+        assert table_digest(example_gen2) == (
+            "ba165c27bb6f9b9ed0a3cdcf514bbbe440c92e2c1876d24ec7b9652b7b056642"
+        )
+
+    @pytest.mark.parametrize(
+        "strategy, digest",
+        [
+            pytest.param(
+                "warm",
+                "0d73752312fabab18edf6d4995899605"
+                "efc91c3ca7e333b518b8679775198571",
+                id="warm",
+            ),
+            pytest.param(
+                "cold",
+                "d44874b49583f03333fcc54aaadd21a6"
+                "c3b4b541bb7d215ab6d23a1a4de7ce48",
+                id="cold",
+            ),
+        ],
+    )
+    def test_example_grid_oracles(self, niagara, strategy, digest):
+        table = build_frequency_table(
+            ProTempOptimizer(niagara, step_subsample=10),
+            EXAMPLE_T_GRID,
+            EXAMPLE_F_GRID,
+            strategy=strategy,
+        )
+        assert table_digest(table) == digest
+
+    def test_default_grid_gen2(self, niagara):
+        table = build_frequency_table(
+            ProTempOptimizer(niagara, step_subsample=5),
+            list(DEFAULT_T_GRID),
+            list(DEFAULT_F_GRID),
+            strategy="gen2",
+        )
+        assert table_digest(table) == (
+            "1d0afbeca861ee93b99b4697a867cb215f7c46f7e196d4ef84cb28844cc13df7"
+        )
+
+
+class TestRemovedPresets:
+    """Specs naming a removed preset keep their hash and build gen2."""
+
+    #: ``(spec_hash, table_key)`` of the scenario below per preset name,
+    #: recorded while the presets still existed.
+    PINNED = {
+        "gen2-batched": ("a218cf03669f", "4609fa3c5713"),
+        "gen3": ("7f10a6c33b71", "2f0fb6413444"),
+        "gen3-wavefront": ("53f777433e52", "8086a46cc786"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_preset_warns_and_equals_gen2(self, name):
+        with pytest.warns(DeprecationWarning, match="'gen2'"):
+            strategy = SweepStrategy.preset(name)
+        assert strategy == SweepStrategy.preset("gen2")
+
+    @staticmethod
+    def example_spec(strategy: str) -> ScenarioSpec:
+        return ScenarioSpec.from_dict(
+            {
+                "platform": "niagara8",
+                "workload": {"name": "mixed", "duration": 5.0, "params": {}},
+                "policy": {
+                    "name": "protemp",
+                    "params": {
+                        "strategy": strategy,
+                        "t_grid": EXAMPLE_T_GRID,
+                        "f_grid": EXAMPLE_F_GRID,
+                        "step_subsample": 10,
+                    },
+                },
+                "seed": 0,
+                "t_initial": 45.0,
+                "window": 0.1,
+            }
+        )
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_spec_keeps_hash_and_warns_once(self, name):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = self.example_spec(name)
+        deprecations = [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+        assert len(deprecations) == 1
+        assert "'gen2'" in str(deprecations[0].message)
+        assert (
+            spec.spec_hash, table_key(spec.platform, spec.policy)
+        ) == self.PINNED[name]
+
+    def test_gen3_spec_builds_gen2_table(self, example_gen2):
+        with pytest.warns(DeprecationWarning):
+            spec = self.example_spec("gen3")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table, hit = ScenarioRunner().table(spec.platform, spec.policy)
+        # The spec already warned at parse time; the build stays quiet.
+        assert not [
+            w for w in caught if issubclass(w.category, DeprecationWarning)
+        ]
+        assert not hit
+        assert table.metadata["sweep_strategy"] == "gen2"
+        assert table.entries == example_gen2.entries

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import FrequencyTable, TableEntry, build_frequency_table
 from repro.core.protemp import ProTempOptimizer
-from repro.core.table import GRID_SNAP_TOLERANCE
+from repro.core.table import GRID_SNAP_TOLERANCE, SweepStrategy
 from repro.errors import TableError
 from repro.units import mhz
 
@@ -320,10 +320,12 @@ class TestBuild:
         t_grid = [85.0]
         f_grid = [mhz(200), mhz(700), mhz(1000)]
         pruned = build_frequency_table(
-            optimizer, t_grid, f_grid, prune_infeasible=True
+            optimizer, t_grid, f_grid,
+            strategy=SweepStrategy(prune_feasibility=True),
         )
         full = build_frequency_table(
-            optimizer, t_grid, f_grid, prune_infeasible=False
+            optimizer, t_grid, f_grid,
+            strategy=SweepStrategy(prune_feasibility=False),
         )
         assert np.array_equal(
             pruned.feasibility_matrix(), full.feasibility_matrix()
@@ -339,7 +341,7 @@ class TestBuild:
             ProTempOptimizer(
                 small_platform, step_subsample=10, accelerated=False
             ),
-            t_grid, f_grid, warm_start=False,
+            t_grid, f_grid, strategy="cold",
         )
         warm = build_frequency_table(
             ProTempOptimizer(small_platform, step_subsample=10),
@@ -369,7 +371,7 @@ class TestBuild:
         parallel = build_frequency_table(
             ProTempOptimizer(small_platform, step_subsample=10),
             t_grid, f_grid,
-            n_workers=2,
+            strategy=SweepStrategy(n_workers=2),
             progress=lambda done, total: progress.append((done, total)),
         )
         assert progress[-1] == (9, 9)
