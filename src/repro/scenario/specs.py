@@ -290,6 +290,12 @@ class PolicySpec:
         params = self.kwargs
         strategy = params.get("strategy")
         backend = params.get("backend")
+        for key, value in (("strategy", strategy), ("backend", backend)):
+            if value is not None and not isinstance(value, str):
+                raise ScenarioError(
+                    f"policy param {key!r} must be a name string, "
+                    f"got {value!r}"
+                )
         if strategy is not None or backend is not None:
             # Lazy: repro.core is heavy and never needed for pure spec
             # plumbing (hashing, sharding, JSON round-trips).

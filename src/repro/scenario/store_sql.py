@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -94,6 +95,29 @@ def _dump(payload: dict[str, Any]) -> str:
     )
 
 
+def _enable_wal(connection: sqlite3.Connection) -> None:
+    """Switch `connection`'s database to WAL, waiting out other writers.
+
+    Leaving rollback-journal mode needs an exclusive lock, and while
+    another connection holds the write lock sqlite reports "database is
+    locked" at once instead of calling the busy handler (two stores
+    opening one fresh file race exactly here).  Retry with bounded
+    exponential backoff for up to :data:`BUSY_TIMEOUT_MS`, the patience
+    every other statement gets from ``busy_timeout``.
+    """
+    deadline = time.monotonic() + BUSY_TIMEOUT_MS / 1000.0
+    delay = 0.001
+    while True:
+        try:
+            connection.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() + delay > deadline:
+                raise
+        time.sleep(delay)
+        delay = min(2.0 * delay, 0.05)
+
+
 class SqliteOutcomeStore(OutcomeStore):
     """A single-file SQLite outcome store (WAL mode, indexed by spec hash).
 
@@ -133,9 +157,14 @@ class SqliteOutcomeStore(OutcomeStore):
             ) from exc
         try:
             connection.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS:d}")
-            connection.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(connection)
             connection.execute("PRAGMA synchronous=NORMAL")
             self._ensure_schema_locked(connection)
+        except sqlite3.Error as exc:
+            connection.close()
+            raise OutcomeStoreError(
+                f"cannot open sqlite outcome store {self.path}: {exc}"
+            ) from exc
         except BaseException:
             connection.close()
             raise

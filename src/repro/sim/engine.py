@@ -24,6 +24,17 @@ setup):
 * A task's waiting time is ``start - arrival`` (Figure 7).  Tasks that
   never start before the simulation horizon are censored at the horizon,
   so an overloaded policy cannot hide its backlog.
+
+Thermals advance lazily.  Queueing, assignment and execution run every
+step on plain Python lists; each step only queues its thermal drive
+(cached per busy pattern within a window).  The pending steps are
+*flushed* -- pushed through the unchanged step-wise recurrence
+``A @ T + b * p + c``, with leakage added inside it -- only when something
+reads temperatures: the TMU at every window boundary, an assignment
+policy that declares ``reads_temperatures``, and the end of the run.
+Each flush records its ``K x n_cores`` block of core temperatures in one
+pass, so the results are bit-identical to advancing and recording step
+by step.
 """
 
 from __future__ import annotations
@@ -177,15 +188,12 @@ class MulticoreSimulator:
 
         dt = platform.thermal.dt
         n_cores = platform.n_cores
-        core_idx = np.asarray(platform.core_indices, dtype=int)
-        a_matrix = platform.thermal.a_matrix
-        b_vector = platform.thermal.b_vector
-        c_vector = platform.thermal.c_vector
         injection = platform.power.injection_matrix()
         idle_fraction = platform.power.idle_fraction
         f_max = platform.f_max
-        t_max = platform.t_max
-        leakage = platform.power.leakage
+        reads_temperatures = self.assignment.reads_temperatures
+        steps_per_window = self.steps_per_window
+        record_interval = cfg.record_interval_steps
 
         if cfg.max_time is not None:
             end_time = cfg.max_time
@@ -193,24 +201,26 @@ class MulticoreSimulator:
             end_time = trace.duration + cfg.drain_grace
         total_steps = int(np.ceil(end_time / dt))
 
-        temps = np.full(platform.thermal.n, float(cfg.t_initial))
-        queue = TaskQueue()
-        running: list[Task | None] = [None] * n_cores
-        remaining = np.zeros(n_cores)
-        freqs = np.zeros(n_cores)
-        p_busy = np.zeros(n_cores)
-        rates = np.zeros(n_cores)
-
         metrics = SimulationMetrics(
             bands=BandAccumulator(n_cores),
             gradient=GradientAccumulator(),
             waiting=WaitingTimeStats(),
             violation_steps=np.zeros(n_cores, dtype=np.int64),
         )
+        thermals = _LazyThermals(platform, cfg.t_initial, metrics, record_interval)
+        queue = TaskQueue()
+        running: list[Task | None] = [None] * n_cores
+        remaining = [0.0] * n_cores
+        progress = [0.0] * n_cores
+        busy = [False] * n_cores
+        p_busy = np.zeros(n_cores)
+        # Per busy pattern within the current window: the step's thermal
+        # drive (see _LazyThermals.drive) and its core energy.
+        drives: dict[tuple[bool, ...], tuple[np.ndarray, float]] = {}
         rec_times: list[float] = []
-        rec_temps: list[np.ndarray] = []
 
         tasks = trace.tasks
+        arrivals = [task.arrival for task in tasks]
         next_arrival = 0
         n_tasks = len(tasks)
         completed = 0
@@ -218,72 +228,71 @@ class MulticoreSimulator:
 
         for step in range(total_steps):
             # --- DFS boundary: consult the TMU -------------------------------
-            if step % self.steps_per_window == 0:
-                backlog = float(remaining.sum()) + queue.backlog
-                runnable = sum(t is not None for t in running) + len(queue)
+            if step % steps_per_window == 0:
+                core_temps = thermals.flush()
+                # numpy's pairwise sum, not Python's sum(): the backlog the
+                # TMU sees must not depend on summation order.
+                backlog = float(np.array(remaining).sum()) + queue.backlog
+                runnable = sum(busy) + len(queue)
                 freqs = self.tmu.decide(
-                    step // self.steps_per_window,
+                    step // steps_per_window,
                     time,
-                    temps[core_idx],
+                    core_temps,
                     backlog,
                     runnable_tasks=runnable,
                 )
                 p_busy = platform.power.core_power(freqs)
-                rates = freqs / f_max
+                progress = ((freqs / f_max) * dt).tolist()
                 metrics.window_frequencies.append(float(freqs.mean()))
+                drives = {}
 
             # --- arrivals -----------------------------------------------------
-            while next_arrival < n_tasks and tasks[next_arrival].arrival <= time:
+            while next_arrival < n_tasks and arrivals[next_arrival] <= time:
                 queue.push(tasks[next_arrival])
                 next_arrival += 1
 
             # --- assignment ----------------------------------------------------
             if len(queue) > 0:
-                idle = [i for i in range(n_cores) if running[i] is None]
-                core_temps_now = temps[core_idx]
+                idle = [i for i in range(n_cores) if not busy[i]]
+                if idle and reads_temperatures:
+                    core_temps = thermals.flush()
                 while idle and len(queue) > 0:
                     task = queue.pop()
-                    core = self.assignment.choose_core(idle, core_temps_now)
+                    core = self.assignment.choose_core(idle, core_temps)
                     idle.remove(core)
                     task.start_time = time
                     task.core = core
                     metrics.waiting.record(time - task.arrival)
                     running[core] = task
-                    remaining[core] = task.workload
+                    remaining[core] = float(task.workload)
+                    busy[core] = True
 
-            # --- execution -------------------------------------------------------
-            busy = np.array([t is not None for t in running])
-            if busy.any():
-                progress = rates * dt
-                remaining = np.where(busy, remaining - progress, remaining)
-                for core in range(n_cores):
-                    task = running[core]
-                    if task is not None and remaining[core] <= 1e-12:
-                        task.finish_time = time + dt
+            # --- power (busy before completions) and execution -----------------
+            pattern = tuple(busy)
+            drive = drives.get(pattern)
+            if drive is None:
+                core_power = np.where(pattern, p_busy, idle_fraction * p_busy)
+                drive = (
+                    thermals.drive(injection @ core_power),
+                    float(core_power.sum()) * dt,
+                )
+                drives[pattern] = drive
+            for core, job in enumerate(running):
+                if job is not None:
+                    left = remaining[core] - progress[core]
+                    if left <= 1e-12:
+                        job.finish_time = time + dt
                         running[core] = None
-                        remaining[core] = 0.0
+                        busy[core] = False
+                        left = 0.0
                         completed += 1
+                    remaining[core] = left
 
-            # --- power and thermal step ---------------------------------------------
-            core_power = np.where(busy, p_busy, idle_fraction * p_busy)
-            metrics.total_core_energy += float(core_power.sum()) * dt
-            node_power = injection @ core_power
-            if leakage is not None:
-                node_power[core_idx] += leakage.power(temps[core_idx])
-            temps = a_matrix @ temps + b_vector * node_power + c_vector
-
-            # --- metrics ------------------------------------------------------------
-            core_temps_now = temps[core_idx]
-            metrics.bands.record(core_temps_now)
-            metrics.gradient.record(core_temps_now)
-            metrics.violation_steps += core_temps_now > t_max
-            metrics.total_steps += 1
-            peak = float(core_temps_now.max())
-            if peak > metrics.peak_temperature:
-                metrics.peak_temperature = peak
-            if step % cfg.record_interval_steps == 0:
+            # --- thermal step (deferred) ---------------------------------------
+            metrics.total_core_energy += drive[1]
+            thermals.push(drive[0])
+            if step % record_interval == 0:
                 rec_times.append(time + dt)
-                rec_temps.append(core_temps_now.copy())
 
             time += dt
             if (
@@ -293,6 +302,8 @@ class MulticoreSimulator:
                 and completed == n_tasks
             ):
                 break
+
+        thermals.flush()
 
         # --- censored waits for tasks that never started ------------------------
         metrics.arrived_tasks = next_arrival
@@ -305,8 +316,8 @@ class MulticoreSimulator:
         timeseries = TemperatureTimeseries(
             times=np.array(rec_times),
             core_temperatures=(
-                np.array(rec_temps)
-                if rec_temps
+                np.concatenate(thermals.recorded)
+                if thermals.recorded
                 else np.zeros((0, n_cores))
             ),
         )
@@ -318,5 +329,98 @@ class MulticoreSimulator:
             timeseries=timeseries,
             end_time=time,
             queue_length_end=len(queue),
-            t_max=t_max,
+            t_max=platform.t_max,
         )
+
+
+class _LazyThermals:
+    """Thermal state whose steps queue up until a temperature read.
+
+    Args:
+        platform: supplies the thermal recurrence, leakage and ``t_max``.
+        t_initial: initial uniform node temperature (Celsius).
+        metrics: receives band counts, gradient, violations, peak and
+            step counts, one block per flush.
+        record_interval: thermal steps between time-series samples.
+    """
+
+    def __init__(
+        self,
+        platform: Platform,
+        t_initial: float,
+        metrics: SimulationMetrics,
+        record_interval: int,
+    ) -> None:
+        thermal = platform.thermal
+        self._a_matrix = thermal.a_matrix
+        self._b_vector = thermal.b_vector
+        self._c_vector = thermal.c_vector
+        self._core_idx = np.asarray(platform.core_indices, dtype=int)
+        self._leakage = platform.power.leakage
+        self._t_max = platform.t_max
+        self._metrics = metrics
+        self._record_interval = record_interval
+        self._temps = np.full(thermal.n, float(t_initial))
+        self._pending: list[np.ndarray] = []
+        self._steps_done = 0
+        #: Recorded time-series rows, one ``(k, n_cores)`` array per flush.
+        self.recorded: list[np.ndarray] = []
+
+    def drive(self, node_power: np.ndarray) -> np.ndarray:
+        """The vector :meth:`push` takes for a step with `node_power`.
+
+        Without leakage it is ``b * node_power``, computed once per busy
+        pattern.  With leakage it is `node_power` itself: the leakage of
+        each step's pre-step temperatures is added during the flush.
+        """
+        if self._leakage is None:
+            return self._b_vector * node_power
+        return node_power
+
+    def push(self, drive: np.ndarray) -> None:
+        """Queue one thermal step; `drive` may be shared, it is not mutated."""
+        self._pending.append(drive)
+
+    def flush(self) -> np.ndarray:
+        """Advance through every pending step and record its metrics.
+
+        Returns:
+            The current core temperatures (Celsius), a fresh array.
+        """
+        pending = self._pending
+        if pending:
+            a_matrix = self._a_matrix
+            c_vector = self._c_vector
+            core_idx = self._core_idx
+            leakage = self._leakage
+            nodes = np.empty((len(pending), len(self._temps)))
+            temps = self._temps
+            for k, drive in enumerate(pending):
+                row = nodes[k]
+                np.matmul(a_matrix, temps, out=row)
+                if leakage is None:
+                    row += drive
+                else:
+                    node_power = drive.copy()
+                    node_power[core_idx] += leakage.power(temps[core_idx])
+                    row += self._b_vector * node_power
+                row += c_vector
+                temps = row
+            self._temps = temps.copy()
+            self._record(nodes[:, core_idx])
+            pending.clear()
+        return self._temps[self._core_idx]
+
+    def _record(self, block: np.ndarray) -> None:
+        """Fold a ``(k, n_cores)`` block of consecutive steps into metrics."""
+        metrics = self._metrics
+        metrics.bands.record_block(block)
+        metrics.gradient.record_block(block)
+        metrics.violation_steps += (block > self._t_max).sum(axis=0)
+        metrics.total_steps += len(block)
+        peak = float(block.max())
+        if peak > metrics.peak_temperature:
+            metrics.peak_temperature = peak
+        first = (-self._steps_done) % self._record_interval
+        self.recorded.append(block[first :: self._record_interval].copy())
+        self._steps_done += len(block)

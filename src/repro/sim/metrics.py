@@ -45,10 +45,16 @@ class BandAccumulator:
 
     def record(self, core_temperatures: np.ndarray) -> None:
         """Add one time-step sample for every core."""
-        bands = np.searchsorted(self._edges_arr, core_temperatures, side="right")
-        # One entry per core (no duplicate indices), so fancy-indexed
-        # increment is safe and much faster than a Python loop.
-        self.counts[self._core_range, bands] += 1
+        self.record_block(np.asarray(core_temperatures)[np.newaxis, :])
+
+    def record_block(self, block: np.ndarray) -> None:
+        """Add one time-step sample per row of `block`, shape (k, n_cores)."""
+        bands = np.searchsorted(self._edges_arr, block, side="right")
+        n_bands = self.counts.shape[1]
+        cells = bands + self._core_range * n_bands
+        self.counts += np.bincount(
+            cells.ravel(), minlength=self.counts.size
+        ).reshape(self.counts.shape)
 
     @property
     def total_samples(self) -> int:
@@ -76,10 +82,19 @@ class GradientAccumulator:
 
     def record(self, core_temperatures: np.ndarray) -> None:
         """Add one time-step sample."""
-        spread = float(np.max(core_temperatures) - np.min(core_temperatures))
-        self.samples += 1
-        self._sum += spread
-        self._max = max(self._max, spread)
+        self.record_block(np.asarray(core_temperatures)[np.newaxis, :])
+
+    def record_block(self, block: np.ndarray) -> None:
+        """Add one time-step sample per row of `block`, shape (k, n_cores)."""
+        spreads = (np.max(block, axis=1) - np.min(block, axis=1)).tolist()
+        if not spreads:
+            return
+        total = self._sum
+        for spread in spreads:  # step order: the mean must not depend on k
+            total += spread
+        self._sum = total
+        self.samples += len(spreads)
+        self._max = max(self._max, max(spreads))
 
     @property
     def mean(self) -> float:

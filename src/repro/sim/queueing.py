@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
+from typing import ClassVar
 
 import numpy as np
 
@@ -56,9 +57,20 @@ class TaskQueue:
 
 
 class AssignmentPolicy(abc.ABC):
-    """Chooses which idle core receives the next task."""
+    """Chooses which idle core receives the next task.
+
+    Attributes:
+        name: label reported in simulation results.
+        reads_temperatures: whether :meth:`choose_core` looks at
+            `core_temperatures`.  The simulator advances thermals lazily and
+            brings them up to date before assignment only for policies that
+            declare True (the default, so a new policy is always correct);
+            the others receive the temperatures read at the last DFS window
+            boundary.  A property of the policy class, not a setting.
+    """
 
     name: str = "assignment"
+    reads_temperatures: ClassVar[bool] = True
 
     @abc.abstractmethod
     def choose_core(
@@ -80,6 +92,7 @@ class FirstIdleAssignment(AssignmentPolicy):
     """Paper default: any idle processor (lowest index for determinism)."""
 
     name = "first-idle"
+    reads_temperatures = False
 
     def choose_core(
         self,
@@ -115,6 +128,7 @@ class RandomAssignment(AssignmentPolicy):
     """Uniformly random idle core (reproducible via seed); an ablation."""
 
     name = "random"
+    reads_temperatures = False
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

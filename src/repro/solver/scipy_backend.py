@@ -11,7 +11,6 @@ meaningful check.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.errors import SolverError
 from repro.solver.problem import (
@@ -47,6 +46,8 @@ def solve_scipy(
         feasible point, INFEASIBLE when SLSQP reports incompatibility or
         the final point violates constraints badly).
     """
+    from scipy.optimize import minimize  # deferred: only backend="scipy" pays it
+
     x0 = np.asarray(x0, dtype=float)
     constraints = []
     bounds = [(None, None)] * len(x0)

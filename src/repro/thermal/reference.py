@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from repro.errors import ThermalModelError
 from repro.floorplan.floorplan import Floorplan
@@ -47,6 +46,8 @@ def exact_trajectory(
     Returns:
         Temperatures, shape (k, n).
     """
+    from scipy.linalg import expm  # deferred: ~0.3 s, only this oracle needs it
+
     t0 = np.asarray(t0, dtype=float)
     power = np.asarray(power, dtype=float)
     if t0.shape != (network.n,) or power.shape != (network.n,):

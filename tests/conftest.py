@@ -6,6 +6,8 @@ session-scoped; tests that need speed use a small 3-core row platform.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -16,8 +18,11 @@ from repro.floorplan import core_row
 from repro.platform import Platform
 from repro.units import mhz
 
+# `ci` (the default) keeps tier-1 fast; the nightly workflow selects
+# `nightly` through HYPOTHESIS_PROFILE for a deeper search.
 settings.register_profile("ci", max_examples=25, deadline=None)
-settings.load_profile("ci")
+settings.register_profile("nightly", max_examples=500, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture(scope="session")

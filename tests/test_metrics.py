@@ -75,6 +75,35 @@ class TestBandAccumulator:
         assert acc.fractions().sum() == pytest.approx(1.0)
 
 
+class TestRecordBlock:
+    """``record_block`` over k rows equals k single-row ``record`` calls."""
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(
+                st.lists(
+                    st.floats(min_value=0, max_value=150, allow_nan=False),
+                    min_size=n,
+                    max_size=n,
+                ),
+                max_size=30,
+            )
+        )
+    )
+    def test_block_equals_row_by_row(self, rows):
+        n_cores = len(rows[0]) if rows else 3
+        block = np.array(rows, dtype=float).reshape(len(rows), n_cores)
+        bands, bands_rows = BandAccumulator(n_cores), BandAccumulator(n_cores)
+        grad, grad_rows = GradientAccumulator(), GradientAccumulator()
+        bands.record_block(block)
+        grad.record_block(block)
+        for row in block:
+            bands_rows.record(row)
+            grad_rows.record(row)
+        assert np.array_equal(bands.counts, bands_rows.counts)
+        assert grad == grad_rows  # bit-identical sum, samples and max
+
+
 class TestGradientAccumulator:
     def test_mean_and_max(self):
         acc = GradientAccumulator()

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -74,3 +77,29 @@ class TestPublicApi:
         for module in PUBLIC_MODULES:
             mod = importlib.import_module(module)
             assert mod.__doc__, f"{module} lacks a module docstring"
+
+
+class TestImportCost:
+    def test_cli_import_loads_no_heavy_scipy_submodules(self):
+        """``scipy.linalg``/``scipy.optimize`` load only where they are used.
+
+        Every CLI process pays for what ``import repro.cli`` drags in; the
+        reference thermal model and the scipy solver backend import them
+        on first use instead.  A fresh interpreter is needed because this
+        test process has usually imported them already.
+        """
+        probe = (
+            "import sys, repro.cli; "
+            "print(' '.join(m for m in ('scipy.linalg', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout.split() == []

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from repro.core import ProTempOptimizer
@@ -57,8 +57,24 @@ _workloads = st.builds(
     params=_param_dicts,
     seed=st.none() | st.integers(0, 2**31 - 1),
 )
+
+
+def _parsed_policy(name: str, params: dict) -> PolicySpec:
+    """The PolicySpec, or a rejected example when the parser refuses it.
+
+    ``_param_dicts`` can draw the validated ``strategy``/``backend`` keys
+    (hypothesis also draws string constants found in the code under
+    test).  A spec rejected with ScenarioError cannot be round-tripped
+    and is no counterexample; any other exception still fails the test.
+    """
+    try:
+        return PolicySpec(name=name, params=params)
+    except ScenarioError:
+        reject()
+
+
 _policies = st.builds(
-    PolicySpec,
+    _parsed_policy,
     name=st.sampled_from(["no-tc", "basic-dfs", "protemp"]),
     params=_param_dicts,
 )
@@ -291,6 +307,12 @@ class TestBackendSelection:
     def test_unknown_strategy_rejected_at_parse_with_hint(self):
         with pytest.raises(ScenarioError, match="did you mean 'gen3'"):
             PolicySpec(params={"strategy": "gen33"})
+
+    @pytest.mark.parametrize("key", ["strategy", "backend"])
+    @pytest.mark.parametrize("value", [0.5, 3, False, ["gen2"], {"a": 1}])
+    def test_non_string_name_rejected_as_scenario_error(self, key, value):
+        with pytest.raises(ScenarioError, match=f"{key}.*must be a name string"):
+            PolicySpec(params={key: value})
 
     def test_unknown_backend_rejected_at_service_submit(self):
         from repro.serving import ScenarioService

@@ -274,6 +274,23 @@ class TestHTTPEndpoints:
         assert "ScenarioError" in str(excinfo.value)
         assert "unknown policy" in str(excinfo.value)
 
+    def test_non_string_table_strategy_is_400(self, live):
+        _, client = live
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(
+                {
+                    "base": FAST_CONFIG["base"],
+                    "grid": {
+                        "policy": [
+                            {"name": "protemp", "params": {"strategy": 0.5}}
+                        ]
+                    },
+                }
+            )
+        assert excinfo.value.status == 400
+        assert "ScenarioError" in str(excinfo.value)
+        assert "must be a name string" in str(excinfo.value)
+
     def test_non_object_body_is_400(self, live):
         import urllib.error
         import urllib.request

@@ -227,6 +227,34 @@ class TestConcurrentWriters:
         final = SqliteOutcomeStore(path)
         assert len(final) == len(records)
 
+    def test_open_waits_for_a_writer_holding_the_lock(self, tmp_path):
+        """A fresh store opening while another connection holds the
+        write lock on a rollback-journal file: switching to WAL is
+        refused at once ("database is locked", no busy handler), so the
+        open must retry until the holder commits, not fail."""
+        path = tmp_path / "o.sqlite"
+        holder = sqlite3.connect(
+            path, isolation_level=None, check_same_thread=False
+        )
+        holder.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, holder.execute, args=("COMMIT",))
+        release.start()
+        try:
+            store = SqliteOutcomeStore(path)
+            store.put(make_record())
+            assert len(store) == 1
+            store.close()
+        finally:
+            release.join(timeout=10)
+            assert not release.is_alive()
+            holder.close()
+
+    def test_open_failure_is_an_outcome_store_error(self, tmp_path):
+        path = tmp_path / "o.sqlite"
+        path.write_bytes(b"this is not a sqlite database" * 100)
+        with pytest.raises(OutcomeStoreError, match="cannot open"):
+            SqliteOutcomeStore(path).put(make_record())
+
     def test_one_instance_shared_across_threads(self, tmp_path):
         store = SqliteOutcomeStore(tmp_path / "o.sqlite")
         records = [make_record(seed) for seed in range(16)]
