@@ -33,7 +33,11 @@ parallel sweep does not lose to serial warm.
 
 Alongside the text report, a machine-readable
 ``benchmarks/results/table_generation.json`` records per-mode seconds,
-ms/cell, speedup vs cold and worst-vs-cold agreement.
+ms/cell, speedup vs cold, worst-vs-cold agreement, and the barrier
+solver's work per cell: Newton steps and line-search trials, summed over
+every phase-II solve of the sweep (boundary pre-solves, pruned pre-solves
+and polishes included).  The parallel mode solves in pool workers, so
+its counts are not collected.
 
 Set ``PROTEMP_BENCH_TABLE_GRID=smoke`` for a tiny CI smoke grid; fixed
 overheads dominate there, so the speedup assertions are skipped and only
@@ -45,12 +49,14 @@ disagreement pinpoints the offending sweep.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 
 import numpy as np
 from conftest import print_header, save_json_result, save_result
 
+import repro.core.protemp as protemp_module
 from repro.core import ProTempOptimizer, SweepStrategy, build_frequency_table
 from repro.solver.barrier import BarrierOptions
 from repro.solver.newton import NewtonOptions
@@ -94,6 +100,26 @@ def _legacy_optimizer(platform) -> ProTempOptimizer:
     )
 
 
+@contextlib.contextmanager
+def _counting_solver_work():
+    """Sum Newton steps and line-search trials over every barrier solve
+    the optimizer makes in this process."""
+    totals = {"steps": 0, "trials": 0}
+    solve_barrier = protemp_module.solve_barrier
+
+    def counting(*args, **kwargs):
+        result = solve_barrier(*args, **kwargs)
+        totals["steps"] += result.iterations
+        totals["trials"] += result.line_search_trials
+        return result
+
+    protemp_module.solve_barrier = counting
+    try:
+        yield totals
+    finally:
+        protemp_module.solve_barrier = solve_barrier
+
+
 def _run_mode(platform, mode, t_grid, f_grid):
     n_workers = min(4, len(t_grid))
     if mode == "cold":
@@ -110,9 +136,27 @@ def _run_mode(platform, mode, t_grid, f_grid):
     else:
         optimizer = ProTempOptimizer(platform, step_subsample=5)
         kwargs = {"strategy": mode}
-    start = time.perf_counter()
-    table = build_frequency_table(optimizer, t_grid, f_grid, **kwargs)
-    return time.perf_counter() - start, table
+    with _counting_solver_work() as work:
+        start = time.perf_counter()
+        table = build_frequency_table(optimizer, t_grid, f_grid, **kwargs)
+        elapsed = time.perf_counter() - start
+    cells = len(t_grid) * len(f_grid)
+    per_cell = {
+        "newton_steps_per_cell": work["steps"] / cells,
+        "line_search_trials_per_cell": work["trials"] / cells,
+    }
+    if mode == "parallel":
+        # Solved in pool workers, out of this process's reach.
+        per_cell = dict.fromkeys(per_cell)
+    return elapsed, table, per_cell
+
+
+def _work_text(per_cell) -> str:
+    steps = per_cell["newton_steps_per_cell"]
+    trials = per_cell["line_search_trials_per_cell"]
+    if steps is None:
+        return "steps/cell     -  trials/cell     -"
+    return f"steps/cell {steps:5.1f}  trials/cell {trials:5.1f}"
 
 
 def _assert_tables_agree(reference, other, label) -> float:
@@ -144,22 +188,27 @@ def test_table_generation_speedup(platform):
     modes = _modes()
     cells = len(t_grid) * len(f_grid)
 
-    t_cold, cold = _run_mode(platform, "cold", t_grid, f_grid)
+    t_cold, cold, cold_work = _run_mode(platform, "cold", t_grid, f_grid)
     lines = [
         f"grid: {len(t_grid)} temps x {len(f_grid)} targets "
         f"({cells} cells){' [smoke]' if SMOKE else ''}",
         f"cold sweep:            {t_cold:7.2f} s "
-        f"({t_cold / cells * 1e3:6.1f} ms/cell)",
+        f"({t_cold / cells * 1e3:6.1f} ms/cell)  "
+        f"{_work_text(cold_work)}",
     ]
     times: dict[str, float] = {"cold": t_cold}
+    works: dict[str, dict[str, float | None]] = {"cold": cold_work}
     worsts: dict[str, float] = {}
     for mode in modes:
-        elapsed, table = _run_mode(platform, mode, t_grid, f_grid)
+        elapsed, table, works[mode] = _run_mode(
+            platform, mode, t_grid, f_grid
+        )
         times[mode] = elapsed
         worsts[mode] = _assert_tables_agree(cold, table, mode)
         lines.append(
             f"{mode + ' sweep:':<22} {elapsed:7.2f} s "
             f"({elapsed / cells * 1e3:6.1f} ms/cell)  "
+            f"{_work_text(works[mode])}  "
             f"speedup {t_cold / elapsed:.2f}x  "
             f"worst-vs-cold {worsts[mode]:.2e}"
         )
@@ -191,6 +240,7 @@ def test_table_generation_speedup(platform):
                     "ms_per_cell": times[mode] / cells * 1e3,
                     "speedup_vs_cold": t_cold / times[mode],
                     "worst_vs_cold": worsts.get(mode),
+                    **works[mode],
                 }
                 for mode in times
             },

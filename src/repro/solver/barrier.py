@@ -27,8 +27,9 @@ Two fast paths serve repeated solves of structurally identical programs
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -36,10 +37,11 @@ from repro.errors import SolverError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.solver.compiled import CompiledConstraints
-from repro.solver.newton import NewtonOptions, minimize_newton
+from repro.solver.newton import NewtonOptions, ValueGradHess, minimize_newton
 from repro.solver.problem import (
     SLACK_FLOOR,
     ConstraintBlock,
+    LinearObjective,
     Objective,
     SqrtSumConstraint,
     max_violation,
@@ -504,6 +506,7 @@ def solve_barrier(
     opts = options or BarrierOptions()
     x0 = np.asarray(x0, dtype=float)
     total_iterations = 0
+    total_trials = 0
     warm_started = False
 
     def violation_at(z: np.ndarray) -> float:
@@ -540,58 +543,24 @@ def solve_barrier(
     m = total_constraints(blocks) or 1
     newton_opts = opts.newton or NewtonOptions()
 
-    def stage_function(t_weight: float):
-        def func(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            value = t_weight * objective.value(z)
-            grad = t_weight * objective.gradient(z)
-            hess = t_weight * objective.hessian(z)
-            if compiled is not None:
-                b_val, b_grad, b_hess = compiled.barrier(z)
-                if not np.isfinite(b_val):
-                    return np.inf, grad, hess
-                return value + b_val, grad + b_grad, hess + b_hess
-            for block in blocks:
-                b_val, b_grad, b_hess = block.barrier(z)
-                if not np.isfinite(b_val):
-                    return np.inf, grad, hess
-                value += b_val
-                grad = grad + b_grad
-                hess = hess + b_hess
-            return value, grad, hess
-
-        return func
-
-    def stage_value_function(t_weight: float):
-        # Value-only twin of stage_function for line-search probes; the
-        # arithmetic is identical term-for-term (same order of additions)
-        # so line-search decisions — and hence the iterates — match the
-        # full evaluator bit-for-bit.
-        if compiled is None:
-            return None
-
-        def vf(z: np.ndarray) -> float:
-            value = t_weight * objective.value(z)
-            b_val = compiled.barrier_value(z)
-            if not np.isfinite(b_val):
-                return np.inf
-            return value + b_val
-
-        return vf
-
     def run_schedule(weights, x_start):
         """Run a barrier schedule: one Newton centering per stage weight."""
+        nonlocal total_trials
         z = x_start
         iters = 0
         stage_converged = True
         for t_weight in weights:
             outcome = minimize_newton(
-                stage_function(t_weight),
+                _stage_function(objective, blocks, compiled, t_weight),
                 z,
                 newton_opts,
-                value_func=stage_value_function(t_weight),
+                value_func=_stage_value_function(
+                    objective, compiled, t_weight
+                ),
             )
             z = outcome.x
             iters += outcome.iterations
+            total_trials += outcome.trials
             stage_converged = outcome.converged
         return z, iters, stage_converged
 
@@ -611,6 +580,7 @@ def solve_barrier(
                 x=x,
                 objective=objective.value(x),
                 iterations=total_iterations,
+                line_search_trials=total_trials,
                 duality_gap=m / t,
                 max_violation=violation_at(x),
             )
@@ -620,6 +590,7 @@ def solve_barrier(
             x=x,
             objective=objective.value(x),
             iterations=total_iterations,
+            line_search_trials=total_trials,
             duality_gap=m / t,
             dual_variables=duals,
             max_violation=violation_at(x),
@@ -637,6 +608,7 @@ def solve_barrier(
             x=x,
             objective=objective.value(x),
             iterations=total_iterations,
+            line_search_trials=total_trials,
             duality_gap=m / t,
             dual_variables=duals,
             max_violation=violation_at(x),
@@ -649,6 +621,98 @@ def solve_barrier(
         duality_gap=m / t,
         max_violation=violation_at(x),
     )
+
+
+def _stage_function(
+    objective: Objective,
+    blocks: list[ConstraintBlock],
+    compiled: "CompiledConstraints | None",
+    t_weight: float,
+) -> ValueGradHess:
+    """Full evaluator of the barrier stage ``t f0(z) + phi(z)``."""
+    if compiled is not None and isinstance(objective, LinearObjective):
+        return _linear_stage_function(objective, compiled, t_weight)
+    return _generic_stage_function(objective, blocks, compiled, t_weight)
+
+
+def _generic_stage_function(
+    objective: Objective,
+    blocks: list[ConstraintBlock],
+    compiled: "CompiledConstraints | None",
+    t_weight: float,
+) -> ValueGradHess:
+    """Stage evaluator for any objective, compiled stack or block list."""
+
+    def func(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        value = t_weight * objective.value(z)
+        grad = t_weight * objective.gradient(z)
+        hess = t_weight * objective.hessian(z)
+        if compiled is not None:
+            b_val, b_grad, b_hess = compiled.barrier(z)
+            if not math.isfinite(b_val):
+                return np.inf, grad, hess
+            return value + b_val, grad + b_grad, hess + b_hess
+        for block in blocks:
+            b_val, b_grad, b_hess = block.barrier(z)
+            if not np.isfinite(b_val):
+                return np.inf, grad, hess
+            value += b_val
+            grad = grad + b_grad
+            hess = hess + b_hess
+        return value, grad, hess
+
+    return func
+
+
+def _linear_stage_function(
+    objective: LinearObjective,
+    compiled: "CompiledConstraints",
+    t_weight: float,
+) -> ValueGradHess:
+    """Lean stage evaluator ``t c^T z + phi(z)`` for a linear objective.
+
+    Bit for bit `_generic_stage_function`: the same value, the gradient
+    ``t c`` computed once per stage instead of once per evaluation, and
+    the barrier's own Hessian without adding ``t * zeros((n, n))``.  That
+    add only ever changed a ``-0.0`` entry to ``+0.0``, and Newton uses
+    the Hessian only as ``hess + reg * I``, which maps both signs of zero
+    to the same entry.
+    """
+    c = objective.c
+    t_grad = t_weight * np.asarray(c, dtype=float)
+
+    def func(z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        b_val, b_grad, b_hess = compiled.barrier(z)
+        if not math.isfinite(b_val):
+            return np.inf, t_grad, b_hess
+        return t_weight * float(c @ z) + b_val, t_grad + b_grad, b_hess
+
+    return func
+
+
+def _stage_value_function(
+    objective: Objective,
+    compiled: "CompiledConstraints | None",
+    t_weight: float,
+) -> Callable[[np.ndarray], float] | None:
+    """Value-only twin of `_stage_function` for line-search trials.
+
+    The same terms added in the same order, so line-search decisions —
+    and hence the iterates — match the full evaluator bit for bit.  The
+    barrier is screened first: a trial outside its domain never
+    evaluates the objective.  None without a compiled stack (the generic
+    block list has no value-only path).
+    """
+    if compiled is None:
+        return None
+
+    def value_func(z: np.ndarray) -> float:
+        b_val = compiled.barrier_value(z)
+        if not math.isfinite(b_val):
+            return np.inf
+        return t_weight * objective.value(z) + b_val
+
+    return value_func
 
 
 def _dual_estimates(

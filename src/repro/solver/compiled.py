@@ -39,6 +39,7 @@ the fallback protocol that makes this sound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ from repro.solver.problem import (
     BoxConstraint,
     ConstraintBlock,
     LinearInequality,
+    SqrtSumConstraint,
 )
 
 
@@ -301,32 +303,52 @@ class CompiledConstraints:
     def barrier_value(self, x: np.ndarray) -> float:
         """Barrier value alone — the line-search fast path.
 
-        Identical arithmetic to ``barrier(x)[0]`` (bit-for-bit), skipping
-        every gradient/Hessian product.  Newton line searches only need
-        values at trial points, and for this problem family the Hessian
-        GEMM dominates a full evaluation.
+        Bit for bit ``barrier(x)[0]``, skipping every gradient/Hessian
+        product.  Newton line searches only need values at trial points,
+        and most trials land outside the domain, so the domain is screened
+        cheapest first: the nonlinear blocks (in practice the one sqrt-sum
+        row, which rejects most trials), then the box rows, and only then
+        the m-row linear GEMV.  The value is still accumulated in
+        `barrier`'s order — linear, box, nonlinear — so every sum rounds
+        the same way.
+
+        The screens test ``slack.min() <= SLACK_FLOOR``, which is
+        ``np.any(slack <= SLACK_FLOOR)`` without the temporary for any
+        NaN-free slack.  A NaN slack may pass the screen, but then the
+        value is NaN, and the stage evaluators treat a non-finite barrier
+        exactly like ``inf``.
         """
-        value = 0.0
-        if self.a.shape[0]:
-            slack = self.b - self.a @ x
-            if np.any(slack <= SLACK_FLOOR):
+        nonlinear_values = []
+        for block in self.nonlinear:
+            if isinstance(block, SqrtSumConstraint):
+                b_val = block.barrier_value(x)
+            else:
+                b_val = block.barrier(x)[0]
+            if not math.isfinite(b_val):
                 return np.inf
-            value -= float(np.log(slack).sum())
+            nonlinear_values.append(b_val)
+        box_value = 0.0
         if self.box_indices.size:
             vals = x[self.box_indices]
             lo_slack = vals - self.box_lower
             hi_slack = self.box_upper - vals
-            if np.any(lo_slack <= SLACK_FLOOR) or np.any(
-                hi_slack <= SLACK_FLOOR
+            if (
+                lo_slack.min() <= SLACK_FLOOR
+                or hi_slack.min() <= SLACK_FLOOR
             ):
                 return np.inf
-            value -= float(
+            box_value = float(
                 np.log(lo_slack).sum() + np.log(hi_slack).sum()
             )
-        for block in self.nonlinear:
-            b_val = block.barrier(x)[0]
-            if not np.isfinite(b_val):
+        value = 0.0
+        if self.a.shape[0]:
+            slack = self.b - self.a @ x
+            if slack.min() <= SLACK_FLOOR:
                 return np.inf
+            value -= float(np.log(slack).sum())
+        if self.box_indices.size:
+            value -= box_value
+        for b_val in nonlinear_values:
             value += b_val
         return value
 
@@ -345,7 +367,7 @@ class CompiledConstraints:
 
         if self.a.shape[0]:
             slack = self.b - self.a @ x
-            if np.any(slack <= SLACK_FLOOR):
+            if slack.min() <= SLACK_FLOOR:
                 return np.inf, grad, hess
             inv = 1.0 / slack
             value -= float(np.log(slack).sum())
@@ -356,8 +378,9 @@ class CompiledConstraints:
             vals = x[self.box_indices]
             lo_slack = vals - self.box_lower
             hi_slack = self.box_upper - vals
-            if np.any(lo_slack <= SLACK_FLOOR) or np.any(
-                hi_slack <= SLACK_FLOOR
+            if (
+                lo_slack.min() <= SLACK_FLOOR
+                or hi_slack.min() <= SLACK_FLOOR
             ):
                 return np.inf, grad, hess
             value -= float(
@@ -381,7 +404,7 @@ class CompiledConstraints:
 
         for block in self.nonlinear:
             b_val, b_grad, b_hess = block.barrier(x)
-            if not np.isfinite(b_val):
+            if not math.isfinite(b_val):
                 return np.inf, grad, hess
             value += b_val
             grad += b_grad

@@ -10,6 +10,7 @@ method's stages and the Phase-1 sweep's cells are solved one at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,12 +62,15 @@ class NewtonOutcome:
         value: objective value at `x`.
         iterations: Newton steps taken.
         converged: True when the decrement criterion was met.
+        trials: line-search trial points evaluated (accepted and
+            rejected), summed over all steps.
     """
 
     x: np.ndarray
     value: float
     iterations: int
     converged: bool
+    trials: int = 0
 
 
 def minimize_newton(
@@ -97,38 +101,45 @@ def minimize_newton(
     opts = options or NewtonOptions()
     x = np.asarray(x0, dtype=float).copy()
     value, grad, hess = func(x)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SolverError("Newton start point is outside the domain")
 
+    eye = np.eye(len(x))  # shared by every step's regularized solve
     stalled = 0
+    trials = 0
     for iteration in range(opts.max_iterations):
-        step = _newton_step(hess, grad, opts.regularization)
+        step = _newton_step(hess, grad, opts.regularization, eye)
         decrement_sq = float(-grad @ step)
         if decrement_sq < 0:
             # Numerical asymmetry; re-solve with extra regularization.
             step = _newton_step(
-                hess, grad, max(opts.regularization * 1e4, 1e-8)
+                hess, grad, max(opts.regularization * 1e4, 1e-8), eye
             )
             decrement_sq = max(float(-grad @ step), 0.0)
         if decrement_sq / 2.0 <= opts.tol:
-            return NewtonOutcome(x, value, iteration, converged=True)
+            return NewtonOutcome(
+                x, value, iteration, converged=True, trials=trials
+            )
 
         # Backtracking line search on value (+inf outside the domain).
         t = 1.0
         while True:
+            trials += 1
             candidate = x + t * step
             if value_func is None:
                 cand_value, cand_grad, cand_hess = func(candidate)
             else:
                 cand_value = value_func(candidate)
-            if np.isfinite(cand_value) and (
+            if math.isfinite(cand_value) and (
                 cand_value <= value - opts.alpha * t * decrement_sq
             ):
                 break
             t *= opts.beta
             if t < 1e-14:
                 # No progress possible: treat as converged at x.
-                return NewtonOutcome(x, value, iteration, converged=True)
+                return NewtonOutcome(
+                    x, value, iteration, converged=True, trials=trials
+                )
         if value_func is not None:
             _full_value, cand_grad, cand_hess = func(candidate)
         if value - cand_value <= opts.stall_tolerance * max(1.0, abs(value)):
@@ -139,20 +150,26 @@ def minimize_newton(
         if stalled >= opts.stall_iterations:
             # The iterate has numerically stopped moving; the decrement is
             # below float resolution of this Hessian's conditioning.
-            return NewtonOutcome(x, value, iteration + 1, converged=True)
+            return NewtonOutcome(
+                x, value, iteration + 1, converged=True, trials=trials
+            )
 
-    return NewtonOutcome(x, value, opts.max_iterations, converged=False)
+    return NewtonOutcome(
+        x, value, opts.max_iterations, converged=False, trials=trials
+    )
 
 
 def _newton_step(
-    hess: np.ndarray, grad: np.ndarray, regularization: float
+    hess: np.ndarray,
+    grad: np.ndarray,
+    regularization: float,
+    eye: np.ndarray,
 ) -> np.ndarray:
-    """Solve ``H step = -grad`` robustly."""
-    n = len(grad)
+    """Solve ``H step = -grad`` robustly (`eye`: the matching identity)."""
     reg = regularization
     for _ in range(6):
         try:
-            return np.linalg.solve(hess + reg * np.eye(n), -grad)
+            return np.linalg.solve(hess + reg * eye, -grad)
         except np.linalg.LinAlgError:
             reg = max(reg * 100.0, 1e-12)
     raise SolverError("Newton step solve failed even with regularization")

@@ -224,7 +224,7 @@ class SqrtSumConstraint:
 
     def _sqrt_terms(self, x: np.ndarray) -> np.ndarray | None:
         vals = x[self.indices]
-        if np.any(vals <= 0):
+        if vals.size and vals.min() <= 0:
             return None
         return np.sqrt(vals)
 
@@ -252,6 +252,21 @@ class SqrtSumConstraint:
         grad = dg / slack
         hess = np.outer(dg, dg) / slack**2 + np.diag(d2g_diag) / slack
         return value, grad, hess
+
+    def barrier_value(self, x: np.ndarray) -> float:
+        """``barrier(x)[0]`` alone, bit for bit, without the derivatives.
+
+        Same roots, same slack and the same ``-log(slack)``; the gradient
+        and Hessian that `barrier` builds are skipped.  Line-search trials
+        only need this value.
+        """
+        roots = self._sqrt_terms(x)
+        if roots is None:
+            return np.inf
+        slack = float(self.weights @ roots) - self.target
+        if slack <= SLACK_FLOOR:
+            return np.inf
+        return -np.log(slack)
 
     def count(self) -> int:
         return 1

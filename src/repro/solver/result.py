@@ -38,6 +38,8 @@ class SolveResult:
         max_violation: largest constraint violation at `x` (<= 0 means
             feasible; for INFEASIBLE this is the certified positive minimum
             infeasibility).
+        line_search_trials: line-search trial points evaluated across all
+            barrier stages (phase I is not counted, as in `iterations`).
     """
 
     status: SolveStatus
@@ -47,6 +49,7 @@ class SolveResult:
     duality_gap: float = 0.0
     dual_variables: np.ndarray = field(default_factory=lambda: np.zeros(0))
     max_violation: float = 0.0
+    line_search_trials: int = 0
 
     @property
     def ok(self) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.scenario.runner as runner_mod
 from repro.control import (
     ControlContext,
     IntegralRegulatorPolicy,
@@ -15,7 +16,7 @@ from repro.control.state_space import window_dynamics
 from repro.core import ProTempOptimizer, build_frequency_table
 from repro.errors import ScenarioError, SimulationError
 from repro.scenario import POLICIES
-from repro.scenario.runner import build_policy
+from repro.scenario.runner import ScenarioRunner, build_policy
 from repro.scenario.specs import PolicySpec, ScenarioSpec
 from repro.thermal.constants import PAPER_DFS_PERIOD
 from repro.units import ghz, mhz
@@ -180,6 +181,48 @@ class TestMPC:
         policy.reset()
         assert policy.solves == 0
         assert policy._warm is None
+
+    def test_two_window_horizon_closed_loop(self, monkeypatch):
+        # horizon_windows > 1 plans across several windows but applies
+        # only the first; under exact sensing the plan must still keep
+        # every core under t_max, and every window costs one solve plus
+        # one more per back-off.
+        spec = ScenarioSpec.from_dict(
+            {
+                "platform": {"name": "core-row", "params": {"n_cores": 4}},
+                "workload": {
+                    "name": "poisson",
+                    "duration": 1.0,
+                    "params": {"offered_load": 1.1},
+                },
+                "policy": {
+                    "name": "mpc",
+                    "params": {"step_subsample": 10, "horizon_windows": 2},
+                },
+                "sensor": "ideal",
+                "t_initial": 80.0,
+            }
+        )
+        built = []
+
+        def capture(*args, **kwargs):
+            built.append(build_policy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(runner_mod, "build_policy", capture)
+        platform = ScenarioRunner().platform(spec.platform)
+        result = runner_mod.execute_scenario(spec, platform, None)
+        (policy,) = built
+        windows = len(result.metrics.window_frequencies)
+        assert policy.horizon_windows == 2
+        assert policy.optimizer.response.horizon == pytest.approx(
+            2 * spec.window
+        )
+        assert not result.metrics.any_violation
+        assert windows > 0
+        assert policy.backoff_windows > 0  # the back-off path ran
+        assert policy.shutdown_windows == 0
+        assert policy.solves == windows + policy.backoff_windows
 
     def test_validation(self, small_platform):
         with pytest.raises(SimulationError, match="horizon"):
